@@ -1098,6 +1098,44 @@ func BenchmarkAsyncnetVirtual(b *testing.B) { benchAsyncnet(b, asyncnet.ModeVirt
 // goroutine-per-process ceiling — in seconds of wall time.
 func BenchmarkAsyncnetVirtual100k(b *testing.B) { benchAsyncnet(b, asyncnet.ModeVirtual, 100_000) }
 
+// BenchmarkAsyncnetVirtualSegments runs virtual asyncnet the way the
+// service does: a harness Runner on the §4.1 endemic system (β = 4,
+// γ = 1, α = 0.01, N = 10,000, 10% initially infected) stepped one
+// single-period segment at a time for 20 periods, because the service's
+// recording hook makes the harness advance period by period. Unlike the
+// one-shot benchmarks above, which build the scheduler once for 100
+// periods, this one sees any per-segment cost.
+func BenchmarkAsyncnetVirtualSegments(b *testing.B) {
+	sys, err := ode.Parse("x' = -4*x*y + 0.01*z\ny' = 4*x*y - y\nz' = y - 0.01*z", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	proto, err := core.Translate(sys, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n, periods = 10_000, 20
+	b.ReportAllocs()
+	var msgs float64
+	for i := 0; i < b.N; i++ {
+		r, err := asyncnet.NewRunner(asyncnet.Config{
+			N:        n,
+			Protocol: proto,
+			Initial:  map[ode.Var]int{"x": n - n/10, "y": n / 10},
+			Seed:     int64(i + 1),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for t := 0; t < periods; t++ {
+			r.Step()
+		}
+		msgs = float64(r.MessagesSent())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*periods), "ns/proc-period")
+	b.ReportMetric(msgs, "msgs")
+}
+
 // BenchmarkAggregateStep measures the count-based engine at the same
 // configuration — O(#actions) per period, independent of N.
 func BenchmarkAggregateStep(b *testing.B) {

@@ -138,12 +138,16 @@ type Result struct {
 	MessagesSent int
 }
 
-// pendingInstance tracks one in-flight sampling action.
-type pendingInstance struct {
+// instance is one in-flight sampling action. Its query seqs are the
+// len(action.samples) consecutive numbers after its id (see startPeriod),
+// so a reply is routed by seq range rather than through a per-query
+// table. Each query is answered at most once, so counting the replies
+// that match their target state is all evaluate needs.
+type instance struct {
 	action  *compiled
-	results []int16 // observed state per sample position; -2 = missing
-	waiting int
-	decided bool
+	id      int32
+	waiting int32 // replies still outstanding
+	hits    int32 // replies whose state equals the sampled target state
 }
 
 type compiled struct {
@@ -163,14 +167,16 @@ type process struct {
 	cfg     *Config
 	tr      transport
 	rng     prng // per-process stream (wallclock) or the run's shared stream (virtual)
-	states  []ode.Var
 	actions [][]*compiled
 
-	state       int16
-	seq         int
-	pending     map[int]*pendingInstance // keyed by instance id
-	queryRoute  map[int][2]int           // query seq → (instance, pos)
-	transitions map[[2]ode.Var]int
+	state   int16
+	seq     int32
+	pending []instance // undecided sampling instances; decided ones are removed
+	// tally counts transitions from×to, row-major over the protocol
+	// states (actions has one table per state, so its length is the row
+	// width). Virtual mode shares one tally across the group — a single
+	// event loop writes it — while wallclock gives every goroutine its own.
+	tally []int
 }
 
 // prng exposes the draw helpers the protocol logic needs directly on the
@@ -202,10 +208,7 @@ func (p *process) transitionTo(to int16) {
 		return
 	}
 	p.state = to
-	if p.transitions == nil {
-		p.transitions = make(map[[2]ode.Var]int, 4)
-	}
-	p.transitions[[2]ode.Var{p.states[from], p.states[to]}]++
+	p.tally[int(from)*len(p.actions)+int(to)]++
 }
 
 func (p *process) randomPeer() int {
@@ -247,57 +250,30 @@ func (p *process) startPeriod() {
 				}
 			}
 		case core.Sample, core.SampleAny, core.Token:
-			if p.pending == nil {
-				p.pending = make(map[int]*pendingInstance, 2)
-				p.queryRoute = make(map[int][2]int, 4)
-			}
 			p.seq++
 			inst := p.seq
-			pi := &pendingInstance{
-				action:  a,
-				results: make([]int16, len(a.samples)),
-				waiting: len(a.samples),
-			}
-			for i := range pi.results {
-				pi.results[i] = -2
-			}
-			p.pending[inst] = pi
-			for pos := range a.samples {
+			p.pending = append(p.pending, instance{action: a, id: inst, waiting: int32(len(a.samples))})
+			for range a.samples {
 				p.seq++
-				qseq := p.seq
-				p.queryRoute[qseq] = [2]int{inst, pos}
-				p.tr.send(p.randomPeer(), message{kind: msgQuery, from: int32(p.id), seq: int32(qseq)})
+				p.tr.send(p.randomPeer(), message{kind: msgQuery, from: int32(p.id), seq: p.seq})
 			}
-			p.tr.timeout(p.id, p.cfg.BasePeriod/2, message{kind: msgTimeout, inst: int32(inst)})
+			p.tr.timeout(p.id, p.cfg.BasePeriod/2, message{kind: msgTimeout, inst: inst})
 		}
 	}
 }
 
-// evaluate decides a completed (or timed-out) instance.
-func (p *process) evaluate(inst int, pi *pendingInstance) {
-	if pi.decided {
-		return
-	}
-	pi.decided = true
-	delete(p.pending, inst)
-	a := pi.action
-	// Drop the instance's outstanding query routes: replies lost to the
-	// network (or still in flight) would otherwise leak their routing
-	// entries for the rest of the run. The instance's query seqs are the
-	// consecutive draws after its own (see startPeriod), so no extra
-	// bookkeeping is needed; a reply arriving after this finds no route
-	// and is ignored, exactly as before.
-	for i := range a.samples {
-		delete(p.queryRoute, inst+1+i)
-	}
+// evaluate decides the completed (or timed-out) instance pending[i] and
+// removes it, so a reply still in flight finds no instance and is
+// ignored.
+func (p *process) evaluate(i int) {
+	in := p.pending[i]
+	last := len(p.pending) - 1
+	p.pending[i] = p.pending[last]
+	p.pending = p.pending[:last]
+	a := in.action
 	switch a.kind {
 	case core.Sample, core.Token:
-		for i, want := range a.samples {
-			if pi.results[i] != want {
-				return
-			}
-		}
-		if p.rng.Float64() >= a.coin {
+		if int(in.hits) != len(a.samples) || p.rng.Float64() >= a.coin {
 			return
 		}
 		if a.kind == core.Sample {
@@ -311,14 +287,7 @@ func (p *process) evaluate(inst int, pi *pendingInstance) {
 			ttl: int16(p.cfg.TokenTTL),
 		})
 	case core.SampleAny:
-		hit := false
-		for i, want := range a.samples {
-			if pi.results[i] == want {
-				hit = true
-				break
-			}
-		}
-		if hit && p.rng.Float64() < a.coin && p.state == a.from {
+		if in.hits > 0 && p.rng.Float64() < a.coin && p.state == a.from {
 			p.transitionTo(a.to)
 		}
 	}
@@ -329,23 +298,26 @@ func (p *process) handle(m message) {
 	case msgQuery:
 		p.tr.send(int(m.from), message{kind: msgReply, from: int32(p.id), seq: m.seq, state: p.state})
 	case msgReply:
-		route, ok := p.queryRoute[int(m.seq)]
-		if !ok {
+		for i := range p.pending {
+			in := &p.pending[i]
+			pos := m.seq - in.id - 1
+			if pos < 0 || int(pos) >= len(in.action.samples) {
+				continue
+			}
+			if m.state == in.action.samples[pos] {
+				in.hits++
+			}
+			if in.waiting--; in.waiting == 0 {
+				p.evaluate(i)
+			}
 			return
-		}
-		delete(p.queryRoute, int(m.seq))
-		pi, ok := p.pending[route[0]]
-		if !ok {
-			return
-		}
-		pi.results[route[1]] = m.state
-		pi.waiting--
-		if pi.waiting == 0 {
-			p.evaluate(route[0], pi)
 		}
 	case msgTimeout:
-		if pi, ok := p.pending[int(m.inst)]; ok {
-			p.evaluate(int(m.inst), pi)
+		for i := range p.pending {
+			if p.pending[i].id == m.inst {
+				p.evaluate(i)
+				return
+			}
 		}
 	case msgConvert:
 		if p.state == m.state {
@@ -363,24 +335,21 @@ func (p *process) handle(m message) {
 	}
 }
 
-// validate applies defaults in place and compiles the protocol: the
-// per-state action tables and the initial state of each process id
-// (processes are laid out state by state, in protocol state order).
-func (cfg *Config) validate() (states []ode.Var, actions [][]*compiled, initial []int16, err error) {
+// validate applies defaults in place and compiles the protocol into
+// per-state action tables. It checks everything a run needs except
+// Periods, which a Runner supplies per segment.
+func (cfg *Config) validate() (states []ode.Var, actions [][]*compiled, err error) {
 	if cfg.N < 2 {
-		return nil, nil, nil, fmt.Errorf("asyncnet: group size %d too small", cfg.N)
+		return nil, nil, fmt.Errorf("asyncnet: group size %d too small", cfg.N)
 	}
 	if cfg.Protocol == nil {
-		return nil, nil, nil, fmt.Errorf("asyncnet: nil protocol")
+		return nil, nil, fmt.Errorf("asyncnet: nil protocol")
 	}
 	if err := cfg.Protocol.Validate(); err != nil {
-		return nil, nil, nil, fmt.Errorf("asyncnet: %w", err)
-	}
-	if cfg.Periods <= 0 {
-		return nil, nil, nil, fmt.Errorf("asyncnet: periods must be positive")
+		return nil, nil, fmt.Errorf("asyncnet: %w", err)
 	}
 	if cfg.Mode, err = cfg.Mode.Normalize(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if cfg.BasePeriod <= 0 {
 		cfg.BasePeriod = 2 * time.Millisecond
@@ -389,7 +358,7 @@ func (cfg *Config) validate() (states []ode.Var, actions [][]*compiled, initial 
 		cfg.Drift = 0.1
 	}
 	if cfg.Drift < 0 || cfg.Drift >= 1 {
-		return nil, nil, nil, fmt.Errorf("asyncnet: drift %v outside [0,1)", cfg.Drift)
+		return nil, nil, fmt.Errorf("asyncnet: drift %v outside [0,1)", cfg.Drift)
 	}
 	if cfg.MaxDelay == 0 {
 		cfg.MaxDelay = cfg.BasePeriod / 4
@@ -400,7 +369,7 @@ func (cfg *Config) validate() (states []ode.Var, actions [][]*compiled, initial 
 	if cfg.TokenTTL > math.MaxInt16 {
 		// The transport envelope carries the TTL as an int16; a larger
 		// bound would silently wrap and kill tokens after one hop.
-		return nil, nil, nil, fmt.Errorf("asyncnet: token TTL %d exceeds the transport bound %d", cfg.TokenTTL, math.MaxInt16)
+		return nil, nil, fmt.Errorf("asyncnet: token TTL %d exceeds the transport bound %d", cfg.TokenTTL, math.MaxInt16)
 	}
 
 	states = cfg.Protocol.States
@@ -434,62 +403,90 @@ func (cfg *Config) validate() (states []ode.Var, actions [][]*compiled, initial 
 	for _, name := range initialStates {
 		s := ode.Var(name)
 		if _, ok := stateIdx[s]; !ok {
-			return nil, nil, nil, fmt.Errorf("asyncnet: initial state %q not in protocol", s)
+			return nil, nil, fmt.Errorf("asyncnet: initial state %q not in protocol", s)
+		}
+		if cfg.Initial[s] < 0 {
+			return nil, nil, fmt.Errorf("asyncnet: negative initial count for %q", s)
 		}
 		total += cfg.Initial[s]
 	}
 	if total != cfg.N {
-		return nil, nil, nil, fmt.Errorf("asyncnet: initial counts sum to %d, want %d", total, cfg.N)
+		return nil, nil, fmt.Errorf("asyncnet: initial counts sum to %d, want %d", total, cfg.N)
 	}
-	initial = make([]int16, 0, cfg.N)
-	for i, s := range states {
-		for j := 0; j < cfg.Initial[s]; j++ {
-			initial = append(initial, int16(i))
-		}
-	}
-	return states, actions, initial, nil
+	return states, actions, nil
 }
 
 // buildProcesses lays the group out as one contiguous allocation (N
 // separate process allocations are measurable GC weight at scale); the
 // caller supplies the substrate (transport) and each process's rng
-// stream. The bookkeeping maps are allocated lazily — at scale most
-// processes spend whole runs in states with no sampling actions and no
-// transitions, and 3N empty maps would be more dead GC weight.
-func buildProcesses(cfg *Config, tr transport, rngFor func(i int) prng, states []ode.Var, actions [][]*compiled, initial []int16) []*process {
-	backing := make([]process, cfg.N)
-	procs := make([]*process, cfg.N)
-	for i := range backing {
-		backing[i] = process{
+// stream and transition tally. Every process gets room for as many
+// in-flight sampling instances as its busiest state launches per period,
+// carved from one shared backing array, so a run allocates no
+// per-instance bookkeeping (a process holding more at once — periods
+// shorter than the timeout under large drift — grows its own slice).
+// Initial states are assigned by layOut.
+func buildProcesses(cfg *Config, tr transport, rngFor func(i int) prng, tallyFor func(i int) []int, actions [][]*compiled) []process {
+	slots := 0
+	for _, as := range actions {
+		n := 0
+		for _, a := range as {
+			switch a.kind {
+			case core.Sample, core.SampleAny, core.Token:
+				n++
+			}
+		}
+		slots = max(slots, n)
+	}
+	inflight := make([]instance, cfg.N*slots)
+	procs := make([]process, cfg.N)
+	for i := range procs {
+		procs[i] = process{
 			id:      i,
 			cfg:     cfg,
 			tr:      tr,
 			rng:     rngFor(i),
-			states:  states,
 			actions: actions,
-			state:   initial[i],
+			pending: inflight[i*slots : i*slots : (i+1)*slots],
+			tally:   tallyFor(i),
 		}
-		procs[i] = &backing[i]
 	}
 	return procs
 }
 
-// collectResult assembles the run summary from the final process states.
-func collectResult(states []ode.Var, procs []*process, sent int) *Result {
-	res := &Result{
-		Counts:      make(map[ode.Var]int, len(states)),
-		Transitions: make(map[[2]ode.Var]int),
-	}
-	for _, s := range states {
-		res.Counts[s] = 0
-	}
-	for _, p := range procs {
-		res.Counts[states[p.state]]++
-		for k, v := range p.transitions {
-			res.Transitions[k] += v
+// layOut (re)starts the group from the given per-state population:
+// processes are laid out state by state, in protocol state order, with
+// fresh sequence numbers and no pending instances.
+func layOut(procs []process, states []ode.Var, initial map[ode.Var]int) {
+	i := 0
+	for si, s := range states {
+		for j := 0; j < initial[s]; j++ {
+			p := &procs[i]
+			p.state, p.seq, p.pending = int16(si), 0, p.pending[:0]
+			i++
 		}
 	}
-	res.MessagesSent = sent
+}
+
+// collectResult assembles the run summary from the final process states
+// and the group's from×to transition tally.
+func collectResult(states []ode.Var, procs []process, tally []int, sent int) *Result {
+	counts := make([]int, len(states))
+	for i := range procs {
+		counts[procs[i].state]++
+	}
+	res := &Result{
+		Counts:       make(map[ode.Var]int, len(states)),
+		Transitions:  make(map[[2]ode.Var]int),
+		MessagesSent: sent,
+	}
+	for si, s := range states {
+		res.Counts[s] = counts[si]
+	}
+	for i, n := range tally {
+		if n > 0 {
+			res.Transitions[[2]ode.Var{states[i/len(states)], states[i%len(states)]}] = n
+		}
+	}
 	return res
 }
 
@@ -498,12 +495,15 @@ func collectResult(states []ode.Var, procs []*process, sent int) *Result {
 // Result on any machine at any GOMAXPROCS. Wallclock-mode runs schedule
 // real goroutines and are not reproducible.
 func Run(cfg Config) (*Result, error) {
-	states, actions, initial, err := cfg.validate()
+	states, actions, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Mode == ModeWallclock {
-		return runWallclock(&cfg, states, actions, initial), nil
+	if cfg.Periods <= 0 {
+		return nil, fmt.Errorf("asyncnet: periods must be positive")
 	}
-	return runVirtual(&cfg, states, actions, initial), nil
+	if cfg.Mode == ModeWallclock {
+		return runWallclock(&cfg, states, actions), nil
+	}
+	return newVirtualRunner(&cfg, states, actions).run(cfg.Seed, cfg.Periods, cfg.Initial), nil
 }

@@ -22,23 +22,40 @@ func mustTranslate(t *testing.T, src string, opts core.Options) *core.Protocol {
 	return proto
 }
 
-func TestRunValidation(t *testing.T) {
-	proto := mustTranslate(t, "x' = -x*y\ny' = x*y", core.Options{})
-	cases := []Config{
-		{N: 1, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 1}},
-		{N: 10, Periods: 1},
-		{N: 10, Protocol: proto, Periods: 0, Initial: map[ode.Var]int{"x": 10}},
-		{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 5}},
-		{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 9, "q": 1}},
-		{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 10}, Drift: 2},
-		{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 10}, Mode: "realtime"},
+// invalidConfigs are configs both entry points must reject. periodsOnly
+// marks the one whose sole fault is its Periods, which NewRunner ignores.
+func invalidConfigs(proto *core.Protocol) []struct {
+	name        string
+	cfg         Config
+	periodsOnly bool
+} {
+	return []struct {
+		name        string
+		cfg         Config
+		periodsOnly bool
+	}{
+		{"group of one", Config{N: 1, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 1}}, false},
+		{"nil protocol", Config{N: 10, Periods: 1}, false},
+		{"no periods", Config{N: 10, Protocol: proto, Periods: 0, Initial: map[ode.Var]int{"x": 10}}, true},
+		{"counts short of N", Config{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 5}}, false},
+		{"unknown state", Config{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 9, "q": 1}}, false},
+		// The protocol states alone sum to N; the stray state must not
+		// be dropped silently.
+		{"unknown state beside a full group", Config{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 8, "y": 2, "q": 3}}, false},
+		{"negative count", Config{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 12, "y": -2}}, false},
+		{"drift", Config{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 10}, Drift: 2}, false},
+		{"mode", Config{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 10}, Mode: "realtime"}, false},
 		// The transport envelope carries the token TTL as an int16; a
 		// larger bound would wrap and silently kill tokens after one hop.
-		{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 10}, TokenTTL: 40000},
+		{"token TTL", Config{N: 10, Protocol: proto, Periods: 1, Initial: map[ode.Var]int{"x": 10}, TokenTTL: 40000}, false},
 	}
-	for i, cfg := range cases {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("case %d: expected error", i)
+}
+
+func TestRunValidation(t *testing.T) {
+	proto := mustTranslate(t, "x' = -x*y\ny' = x*y", core.Options{})
+	for _, c := range invalidConfigs(proto) {
+		if _, err := Run(c.cfg); err == nil {
+			t.Errorf("%s: expected error", c.name)
 		}
 	}
 }

@@ -9,84 +9,76 @@ import (
 
 // Runner adapts the asynchronous runtime to the harness.Runner interface,
 // so sweeps can execute on the paper's true system model (§1) through the
-// same scheduler as the synchronous engines. The runtime is one-shot — it
-// builds the group and tears it down at the end of a run — so the adapter
-// executes periods in segments: each Run(k) call launches a fresh
-// asynchronous execution of k periods whose initial population is the
+// same scheduler as the synchronous engines. The adapter executes periods
+// in segments: each Run(k) call is one asynchronous execution of k
+// periods, drained to quiescence, whose initial population is the
 // previous segment's final population, seeded deterministically from the
 // base seed and the segment index. Population counts are continuous
 // across segments; per-process identity is not (asyncnet processes carry
-// no addressable identity anyway). Prefer coarse Run calls over
-// per-period Step calls: every segment pays the group's start-up and
-// tear-down cost.
+// no addressable identity anyway).
 //
-// The config's Mode carries through to every segment. In ModeVirtual
-// (the default) the whole segment sequence is deterministic — a fixed
-// (config, call sequence) reproduces byte-identical counts, transitions,
-// and message totals — which is what lets internal/service cache and
-// persist virtual asyncnet jobs.
+// NewRunner validates the config and compiles the protocol once. In
+// ModeVirtual (the default) the Runner also owns one scheduler for its
+// whole life: every segment resets it in place, so a segment costs
+// O(events) — a per-period Step is as cheap per period as a coarse Run —
+// and produces exactly what a freshly built scheduler would. The whole
+// segment sequence is deterministic — a fixed (config, call sequence)
+// reproduces byte-identical counts, transitions, and message totals —
+// which is what lets internal/service cache and persist virtual asyncnet
+// jobs. In ModeWallclock every segment launches a fresh goroutine group.
 type Runner struct {
-	cfg Config
+	cfg     Config // validated, defaults applied
+	states  []ode.Var
+	actions [][]*compiled
+	virtual *virtualRunner // nil in ModeWallclock
 
 	counts      map[ode.Var]int
 	period      int
 	segment     int
 	transitions map[[2]ode.Var]int
 	messages    int
-	err         error
 }
 
-// NewRunner builds an asynchronous harness Runner. The config's Periods
-// field is ignored; periods are supplied per Run call.
+// NewRunner builds an asynchronous harness Runner, rejecting every config
+// that Run would reject. The config's Periods field is ignored; periods
+// are supplied per Run call.
 func NewRunner(cfg Config) (*Runner, error) {
-	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("asyncnet: nil protocol")
-	}
-	if err := cfg.Protocol.Validate(); err != nil {
-		return nil, fmt.Errorf("asyncnet: %w", err)
-	}
-	var err error
-	if cfg.Mode, err = cfg.Mode.Normalize(); err != nil {
+	states, actions, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
-	total := 0
-	counts := make(map[ode.Var]int, len(cfg.Protocol.States))
-	for _, s := range cfg.Protocol.States {
-		c := cfg.Initial[s]
-		if c < 0 {
-			return nil, fmt.Errorf("asyncnet: negative initial count for %q", s)
-		}
-		counts[s] = c
-		total += c
-	}
-	if total != cfg.N {
-		return nil, fmt.Errorf("asyncnet: initial counts sum to %d, want %d", total, cfg.N)
-	}
-	return &Runner{
+	r := &Runner{
 		cfg:         cfg,
-		counts:      counts,
+		states:      states,
+		actions:     actions,
+		counts:      make(map[ode.Var]int, len(states)),
 		transitions: make(map[[2]ode.Var]int),
-	}, nil
+	}
+	for _, s := range states {
+		r.counts[s] = cfg.Initial[s]
+	}
+	if cfg.Mode == ModeVirtual {
+		r.virtual = newVirtualRunner(&r.cfg, states, actions)
+	}
+	return r, nil
 }
 
 // Step executes one protocol period (one single-period segment).
 func (r *Runner) Step() { r.Run(1) }
 
 // Run executes the given number of periods as one asynchronous segment.
-// On failure the adapter records a sticky error (see Err) and stops
-// advancing; the harness surfaces it at the end of the job.
 func (r *Runner) Run(periods int) {
-	if r.err != nil || periods <= 0 {
+	if periods <= 0 {
 		return
 	}
-	cfg := r.cfg
-	cfg.Periods = periods
-	cfg.Initial = r.Counts()
-	cfg.Seed = harness.DeriveSeed(r.cfg.Seed, r.segment)
-	res, err := Run(cfg)
-	if err != nil {
-		r.err = err
-		return
+	seed := harness.DeriveSeed(r.cfg.Seed, r.segment)
+	var res *Result
+	if r.virtual != nil {
+		res = r.virtual.run(seed, periods, r.counts)
+	} else {
+		seg := r.cfg
+		seg.Seed, seg.Periods, seg.Initial = seed, periods, r.counts
+		res = runWallclock(&seg, r.states, r.actions)
 	}
 	r.counts = res.Counts
 	for k, v := range res.Transitions {
@@ -97,8 +89,9 @@ func (r *Runner) Run(periods int) {
 	r.segment++
 }
 
-// Err returns the sticky error of a failed segment, if any.
-func (r *Runner) Err() error { return r.err }
+// Err reports a failed segment for the harness's optional error hook. It
+// is always nil: NewRunner rejects every config a segment could fail on.
+func (r *Runner) Err() error { return nil }
 
 // Period returns the number of completed protocol periods.
 func (r *Runner) Period() int { return r.period }

@@ -42,6 +42,12 @@ type parkedMsg struct {
 // function of the Config, and virtual time advances as fast as events can
 // be processed.
 //
+// A scheduler is built once per group and reused by every run on it (a
+// Runner's segments): run resets the processes, the calendar, the arena
+// and both random streams in place, so a run costs O(events) rather than
+// a fresh allocation of the whole group, and produces exactly what a
+// newly built scheduler would.
+//
 // The queue is a calendar queue (Brown 1988): a ring of buckets, each one
 // power-of-two-width slice of the timeline. Every scheduling horizon in
 // the model is bounded — a period is at most BasePeriod·(1+Drift), a
@@ -63,8 +69,11 @@ type parkedMsg struct {
 // per-process streams (which wallclock mode needs for goroutine safety)
 // would buy nothing and cost a cold 2.5 KiB generator state per process.
 type virtualRunner struct {
-	cfg   *Config
-	procs []*process
+	cfg         *Config
+	states      []ode.Var
+	procs       []process
+	periodsLeft []int32
+	tally       []int // from×to transition counts of the whole group
 
 	// Calendar queue state. curNum is the absolute bucket number of the
 	// bucket being drained; cur is that bucket sorted ascending, consumed
@@ -97,21 +106,28 @@ type virtualRunner struct {
 
 const ringBuckets = 1024 // ring span = 1024 bucket widths ≥ 4× the horizon
 
-// newVirtualRunner sizes the calendar to the config's scheduling horizon:
+// newVirtualRunner builds the group and its scheduler for a validated
+// config. It sizes the calendar to the config's scheduling horizon:
 // bucket width is the smallest power of two ≥ horizon/256, so every
 // in-model event lands within ~512 buckets and the 1024-bucket ring never
 // wraps onto live entries, while the active bucket stays small enough to
 // live in cache.
-func newVirtualRunner(cfg *Config) *virtualRunner {
+func newVirtualRunner(cfg *Config, states []ode.Var, actions [][]*compiled) *virtualRunner {
 	horizon := 2 * cfg.BasePeriod // ≥ BasePeriod·(1+Drift), Drift < 1
 	if cfg.MaxDelay > horizon {
 		horizon = cfg.MaxDelay
 	}
-	return &virtualRunner{
-		cfg:   cfg,
-		shift: uint(bits.Len64(uint64(horizon) / 256)),
-		ring:  make([][]event, ringBuckets),
+	v := &virtualRunner{
+		cfg:         cfg,
+		states:      states,
+		periodsLeft: make([]int32, cfg.N),
+		tally:       make([]int, len(states)*len(states)),
+		shift:       uint(bits.Len64(uint64(horizon) / 256)),
+		ring:        make([][]event, ringBuckets),
+		rng:         prng{new(mt19937.MT19937)}, // seeded by every run
 	}
+	v.procs = buildProcesses(cfg, v, func(int) prng { return v.rng }, func(int) []int { return v.tally }, actions)
+	return v
 }
 
 // nextSeq advances the tie-break stream (the same splitmix64 finalizer as
@@ -392,31 +408,22 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// runVirtual executes the run on the virtual timeline: seed the calendar
-// with every process's arbitrary first-period offset, then drain events
-// in (at, seq) order until the system is quiescent (the queue is empty).
-// Quiescence is guaranteed: after a process's last period no new period
-// events are scheduled, message cascades are finite (a query begets one
-// reply, token forwards are TTL-bounded, converts are terminal), and
-// every event carries a bounded delay.
-func runVirtual(cfg *Config, states []ode.Var, actions [][]*compiled, initial []int16) *Result {
-	v := drainVirtual(cfg, states, actions, initial)
-	return collectResult(states, v.procs, v.sent)
-}
-
-// drainVirtual builds the scheduler and runs it to quiescence, returning
-// it with the processes in their final states (split from runVirtual so
-// tests can inspect per-process bookkeeping after a drain).
-func drainVirtual(cfg *Config, states []ode.Var, actions [][]*compiled, initial []int16) *virtualRunner {
-	v := newVirtualRunner(cfg)
-	v.rng = prng{mt19937.New(cfg.Seed)}
-	v.seqState = uint64(cfg.Seed) ^ 0x6A09E667F3BCC908 // sqrt(2) salt: distinct from the MT stream
-	v.procs = buildProcesses(cfg, v, func(int) prng { return v.rng }, states, actions, initial)
-
-	periodsLeft := make([]int32, cfg.N)
-	for i, p := range v.procs {
-		periodsLeft[i] = int32(cfg.Periods)
-		v.push(event{at: int64(p.startOffset()), seq: v.nextSeq(), ref: uint32(i)})
+// run drives the group through the given number of periods on the
+// virtual timeline, starting from the given per-state population, and
+// returns the run's summary. It first resets the scheduler in
+// place, then seeds the calendar with every process's arbitrary
+// first-period offset and drains events in (at, seq) order until the
+// system is quiescent (the queue is empty). Quiescence is guaranteed:
+// after a process's last period no new period events are scheduled,
+// message cascades are finite (a query begets one reply, token forwards
+// are TTL-bounded, converts are terminal), and every event carries a
+// bounded delay. So at return no event, parked message or undecided
+// instance is left over for the next run to see.
+func (v *virtualRunner) run(seed int64, periods int, initial map[ode.Var]int) *Result {
+	v.reset(seed, initial)
+	for i := range v.procs {
+		v.periodsLeft[i] = int32(periods)
+		v.push(event{at: int64(v.procs[i].startOffset()), seq: v.nextSeq(), ref: uint32(i)})
 	}
 
 	for v.pending > 0 {
@@ -429,11 +436,31 @@ func drainVirtual(cfg *Config, states []ode.Var, actions [][]*compiled, initial 
 			v.procs[pm.to].handle(pm.m)
 			continue
 		}
-		p := v.procs[ev.ref]
+		p := &v.procs[ev.ref]
 		p.startPeriod()
-		if periodsLeft[ev.ref]--; periodsLeft[ev.ref] > 0 {
+		if v.periodsLeft[ev.ref]--; v.periodsLeft[ev.ref] > 0 {
 			v.push(event{at: int64(v.now + p.periodFor()), seq: v.nextSeq(), ref: ev.ref})
 		}
 	}
-	return v
+	return collectResult(v.states, v.procs, v.tally, v.sent)
+}
+
+// reset returns the scheduler to the state of a freshly built one with
+// the given seed and population, keeping every buffer's capacity: the
+// random streams are reseeded, the queues and the arena truncated (an
+// empty arena and free list reproduce a fresh run's slot numbering), and
+// the tally and processes cleared.
+func (v *virtualRunner) reset(seed int64, initial map[ode.Var]int) {
+	v.rng.mt.Seed(seed)
+	v.seqState = uint64(seed) ^ 0x6A09E667F3BCC908 // sqrt(2) salt: distinct from the MT stream
+	v.curNum, v.cur, v.curIdx = 0, nil, 0
+	v.late, v.overflow = v.late[:0], v.overflow[:0]
+	for i := range v.ring {
+		v.ring[i] = v.ring[i][:0]
+	}
+	v.inRing, v.pending = 0, 0
+	v.msgs, v.freeMsg = v.msgs[:0], v.freeMsg[:0]
+	v.now, v.sent = 0, 0
+	clear(v.tally)
+	layOut(v.procs, v.states, initial)
 }

@@ -8,6 +8,7 @@ import (
 
 	"odeproto/internal/core"
 	"odeproto/internal/endemic"
+	"odeproto/internal/mt19937"
 	"odeproto/internal/ode"
 )
 
@@ -226,9 +227,12 @@ func TestRunnerVirtualSegmentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestQueryRoutesDoNotLeak: routing entries for replies lost to the
-// network must be cleaned when their instance is decided, or a long
-// lossy run grows the per-process route map without bound.
+// TestQueryRoutesDoNotLeak: an instance whose replies were lost to the
+// network must still be decided (by its timeout) and dropped, or a long
+// lossy run grows every process's bookkeeping without bound. Replies are
+// routed through the undecided instances themselves, so an empty pending
+// list means no routing state is left either; the scheduler's arena must
+// also have recycled every parked message.
 func TestQueryRoutesDoNotLeak(t *testing.T) {
 	proto := mustTranslate(t, "x' = -x*y\ny' = x*y", core.Options{})
 	cfg := Config{
@@ -239,21 +243,75 @@ func TestQueryRoutesDoNotLeak(t *testing.T) {
 		Periods:  40,
 		DropProb: 0.5, // half of all queries/replies die in transit
 	}
-	states, actions, initial, err := (&cfg).validate()
+	states, actions, err := (&cfg).validate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := drainVirtual(&cfg, states, actions, initial)
-	if v.sent == 0 {
+	v := newVirtualRunner(&cfg, states, actions)
+	if res := v.run(cfg.Seed, cfg.Periods, cfg.Initial); res.MessagesSent == 0 {
 		t.Fatal("no messages sent; leak check would be vacuous")
 	}
-	for _, p := range v.procs {
-		if n := len(p.queryRoute); n != 0 {
-			t.Fatalf("process %d finished the run with %d leaked query routes", p.id, n)
+	for i := range v.procs {
+		if n := len(v.procs[i].pending); n != 0 {
+			t.Fatalf("process %d finished the run with %d undecided instances", i, n)
 		}
-		if n := len(p.pending); n != 0 {
-			t.Fatalf("process %d finished the run with %d undecided instances", p.id, n)
-		}
+	}
+	if v.pending != 0 || len(v.freeMsg) != len(v.msgs) {
+		t.Fatalf("scheduler not quiescent: %d events queued, %d of %d arena slots free",
+			v.pending, len(v.freeMsg), len(v.msgs))
+	}
+}
+
+// recordingTransport captures what a process sends, so a test can deliver
+// the messages itself in any order.
+type recordingTransport struct{ sent, timeouts []message }
+
+func (r *recordingTransport) send(_ int, m message) { r.sent = append(r.sent, m) }
+
+func (r *recordingTransport) timeout(_ int, _ time.Duration, m message) {
+	r.timeouts = append(r.timeouts, m)
+}
+
+// TestLateReplyIgnored: a reply arriving after its instance was decided by
+// timeout is dropped — no second evaluation, no transition — while the
+// same reply arriving in time converts the process (so the check is not
+// vacuous), and a timeout after a reply-decided instance is a no-op.
+func TestLateReplyIgnored(t *testing.T) {
+	proto := mustTranslate(t, "x' = -x*y\ny' = x*y", core.Options{})
+	cfg := Config{N: 2, Protocol: proto, Initial: map[ode.Var]int{"x": 1, "y": 1}}
+	states, actions, err := (&cfg).validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &recordingTransport{}
+	tally := make([]int, len(states)*len(states))
+	procs := buildProcesses(&cfg, tr, func(int) prng { return prng{mt19937.New(1)} },
+		func(int) []int { return tally }, actions)
+	layOut(procs, states, cfg.Initial)
+	p := &procs[0]       // in x: samples one peer, converts to y on a y reply
+	const xToY = 0*2 + 1 // tally cell: row x (state 0), column y (state 1)
+	reply := func(q message) message {
+		return message{kind: msgReply, from: 1, seq: q.seq, state: 1}
+	}
+
+	// Timeout first: the instance is decided with its sample missing.
+	p.startPeriod()
+	if len(tr.sent) != 1 || len(tr.timeouts) != 1 {
+		t.Fatalf("period sent %d queries and %d timeouts, want 1 and 1", len(tr.sent), len(tr.timeouts))
+	}
+	p.handle(tr.timeouts[0])
+	p.handle(reply(tr.sent[0]))
+	if p.state != 0 || len(p.pending) != 0 || tally[xToY] != 0 || len(tr.sent) != 1 {
+		t.Fatalf("late reply acted: state %d, %d pending, tally %v, %d sends", p.state, len(p.pending), tally, len(tr.sent))
+	}
+
+	// Reply first: the instance converts the process; its timeout is then
+	// a no-op.
+	p.startPeriod()
+	p.handle(reply(tr.sent[1]))
+	p.handle(tr.timeouts[1])
+	if p.state != 1 || len(p.pending) != 0 || tally[xToY] != 1 {
+		t.Fatalf("in-time reply: state %d, %d pending, tally %v; want state 1, none pending, one x→y", p.state, len(p.pending), tally)
 	}
 }
 

@@ -115,7 +115,7 @@ func (nw *network) runProcess(ctx context.Context, p *process, finished, ticking
 // as soon as the group is quiescent: every process has executed all its
 // periods and the in-flight message counter has drained — no fixed
 // post-run sleep, no nominal-duration watchdog.
-func runWallclock(cfg *Config, states []ode.Var, actions [][]*compiled, initial []int16) *Result {
+func runWallclock(cfg *Config, states []ode.Var, actions [][]*compiled) *Result {
 	root := mt19937.New(cfg.Seed)
 	nw := &network{
 		inboxes: make([]chan message, cfg.N),
@@ -126,16 +126,23 @@ func runWallclock(cfg *Config, states []ode.Var, actions [][]*compiled, initial 
 	for i := range nw.inboxes {
 		nw.inboxes[i] = make(chan message, 4*cfg.N/len(states)+64)
 	}
+	// Each goroutine tallies its own transitions; they are summed once
+	// the group is quiescent.
+	width := len(states) * len(states)
+	tallies := make([]int, cfg.N*width)
 	procs := buildProcesses(cfg, nw, func(i int) prng {
 		return prng{root.Split(uint64(i) + 1)}
-	}, states, actions, initial)
+	}, func(i int) []int {
+		return tallies[i*width : (i+1)*width : (i+1)*width]
+	}, actions)
+	layOut(procs, states, cfg.Initial)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var finished, ticking sync.WaitGroup
 	finished.Add(cfg.N)
 	ticking.Add(cfg.N)
-	for _, p := range procs {
-		go nw.runProcess(ctx, p, &finished, &ticking)
+	for i := range procs {
+		go nw.runProcess(ctx, &procs[i], &finished, &ticking)
 	}
 	// Quiescence: all periods executed, then the pending counter drains.
 	// After ticking.Wait returns no process starts a period again, so new
@@ -151,5 +158,9 @@ func runWallclock(cfg *Config, states []ode.Var, actions [][]*compiled, initial 
 	nw.mu.Lock()
 	sent := nw.sent
 	nw.mu.Unlock()
-	return collectResult(states, procs, sent)
+	tally := make([]int, width)
+	for i, n := range tallies {
+		tally[i%width] += n
+	}
+	return collectResult(states, procs, tally, sent)
 }
