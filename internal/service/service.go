@@ -617,9 +617,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.Trace != "" {
 		w.Header().Set(obs.TraceHeader, st.Trace)
 	}
+	// 200 means served from the cache or the result store, no work
+	// pending. A fresh job that a worker already finished by this
+	// snapshot is still a 202, so the status does not depend on timing.
 	status := http.StatusAccepted
-	if st.Status == StatusDone {
-		status = http.StatusOK // served from cache, no work pending
+	if st.Cached {
+		status = http.StatusOK
 	}
 	writeJSON(w, status, st)
 }
