@@ -1040,6 +1040,48 @@ func BenchmarkSerialStep1M(b *testing.B) { benchMillionStep(b, 1) }
 // the serial baseline.
 func BenchmarkShardedStep(b *testing.B) { benchMillionStep(b, 8) }
 
+// BenchmarkEngineSweepShape runs the agent-engine jobs of perfbench's sweep
+// workload in-process: endemic (β=4, γ=1, α=0.01) at N=2·10⁴ and LV at
+// N=1.4·10⁴, 40 periods, serial (K=1) and sharded (K=4) on one worker, so
+// the figure is engine work without the daemon or parallelism. One op is
+// sim.New plus the 40 periods; ns/proc-period divides by N·40.
+func BenchmarkEngineSweepShape(b *testing.B) {
+	endemicProto, err := endemic.NewFrameworkProtocol(endemic.Params{B: 2, Gamma: 1, Alpha: 0.01})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lvProto, err := lv.NewProtocol(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const periods = 40
+	shapes := []struct {
+		name    string
+		proto   *core.Protocol
+		n       int
+		initial map[ode.Var]int
+	}{
+		{"endemic", endemicProto, 20000, map[ode.Var]int{"x": 18000, "y": 2000, "z": 0}},
+		{"lv", lvProto, 14000, map[ode.Var]int{"x": 7700, "y": 6300, "z": 0}},
+	}
+	for _, sh := range shapes {
+		for _, k := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/K=%d", sh.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					e, err := sim.New(sim.Config{N: sh.n, Protocol: sh.proto, Initial: sh.initial,
+						Seed: 401, Shards: k, ShardWorkers: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					e.Run(periods)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sh.n*periods), "ns/proc-period")
+			})
+		}
+	}
+}
+
 // --- asyncnet substrate benchmarks ---
 
 // benchAsyncnet runs the canonical pull epidemic on the asynchronous

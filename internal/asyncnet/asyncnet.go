@@ -180,27 +180,17 @@ type process struct {
 }
 
 // prng exposes the draw helpers the protocol logic needs directly on the
-// Mersenne Twister: math/rand's *Rand pays an interface dispatch per
-// draw, which is measurable with millions of draws on the virtual
-// scheduler's hot path. Int63n uses the same rejection sampling as
-// math/rand, so draws stay exactly uniform.
+// Mersenne Twister, with no interface dispatch per draw (millions of draws
+// sit on the virtual scheduler's hot path). Bounded draws are
+// mt19937.Rand's Int63n, math/rand's exactly uniform rejection sampling;
+// Float64 is the generator's own 53-bit conversion.
 type prng struct{ mt *mt19937.MT19937 }
 
 func (r prng) Float64() float64 { return r.mt.Float64() }
 
 func (r prng) Intn(n int) int { return int(r.Int63n(int64(n))) }
 
-func (r prng) Int63n(n int64) int64 {
-	if n&(n-1) == 0 {
-		return r.mt.Int63() & (n - 1)
-	}
-	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
-	v := r.mt.Int63()
-	for v > max {
-		v = r.mt.Int63()
-	}
-	return v % n
-}
+func (r prng) Int63n(n int64) int64 { return mt19937.NewRand(r.mt).Int63n(n) }
 
 func (p *process) transitionTo(to int16) {
 	from := p.state

@@ -32,6 +32,7 @@ package harness
 import (
 	"fmt"
 
+	"odeproto/internal/mt19937"
 	"odeproto/internal/ode"
 )
 
@@ -127,9 +128,6 @@ type ProcessLister interface {
 // base seed, using a splitmix64 finalizer so consecutive indices yield
 // decorrelated streams. The derivation depends only on (base, idx), never
 // on scheduling order, which is what keeps parallel sweeps reproducible.
-func DeriveSeed(base int64, idx int) int64 {
-	z := uint64(base) + uint64(idx+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
+// The agent engine derives its shard streams with the same function
+// (mt19937.DeriveSeed).
+func DeriveSeed(base int64, idx int) int64 { return mt19937.DeriveSeed(base, idx) }

@@ -84,7 +84,15 @@ type Engine struct {
 	states   []ode.Var
 	stateIdx map[ode.Var]int
 	actions  [][]compiledAction // actions per state index
-	rng      *rand.Rand
+
+	// rng is the engine's Mersenne Twister stream, drawn with math/rand's
+	// algorithms but without its interface dispatch; pub is the
+	// *rand.Rand view of the same stream that Rand hands out.
+	rng   mt19937.Rand
+	pub   *rand.Rand
+	peer  mt19937.Bound // Intn(N−1): a uniform peer other than self
+	view  mt19937.Bound // Intn(ViewSize): a uniform entry of a partial view
+	group mt19937.Bound // Intn(N): a uniform process (views, TTL hops)
 
 	state    []int16 // current state per process, -1 = down
 	snapshot []int16 // state at period start
@@ -93,9 +101,12 @@ type Engine struct {
 	alive    int
 	period   int
 
-	transitions map[[2]ode.Var]int // last period's transition counts
-	messages    int                // last period's connection attempts
-	tokensLost  int                // last period's dropped tokens
+	// tally counts last period's transitions from×to, row-major over the
+	// states; transitions is TransitionsLastPeriod's map view of it.
+	tally       []int
+	transitions map[[2]ode.Var]int
+	messages    int // last period's connection attempts
+	tokensLost  int // last period's dropped tokens
 
 	// tokenPool holds, per target state, a shuffled list of candidate
 	// processes for directed token delivery, built lazily once per period
@@ -116,7 +127,7 @@ type Engine struct {
 
 	// Sharded execution state (Config.Shards > 1); see shard.go.
 	shards       []shardState
-	barrierRng   *rand.Rand // resolves cross-shard intents at the barrier
+	barrierRng   mt19937.Rand // resolves cross-shard intents at the barrier
 	shardWorkers int
 }
 
@@ -132,7 +143,7 @@ type compiledAction struct {
 // must sum to N.
 func New(cfg Config) (*Engine, error) {
 	if cfg.N <= 1 {
-		// N = 1 would make pickPeer's rng.Intn(N-1) panic: every contact
+		// N = 1 would make pickPeer's Intn(N-1) bound panic: every contact
 		// action needs at least one peer other than self to sample.
 		return nil, fmt.Errorf("sim: group size %d too small (peer sampling needs N >= 2)", cfg.N)
 	}
@@ -149,7 +160,9 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		states:   cfg.Protocol.States,
 		stateIdx: make(map[ode.Var]int, len(cfg.Protocol.States)),
-		rng:      rand.New(mt19937.New(cfg.Seed)),
+		rng:      mt19937.NewRand(mt19937.New(cfg.Seed)),
+		peer:     mt19937.NewBound(cfg.N - 1),
+		group:    mt19937.NewBound(cfg.N),
 	}
 	for i, s := range e.states {
 		e.stateIdx[s] = i
@@ -214,6 +227,7 @@ func New(cfg Config) (*Engine, error) {
 		e.state[idx] = -1
 	}
 	e.alive = up
+	e.tally = make([]int, len(e.states)*len(e.states))
 	e.transitions = make(map[[2]ode.Var]int)
 	e.frozen = make([]bool, cfg.N)
 	e.tokenPool = make([][]int, len(e.states))
@@ -231,6 +245,7 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.ViewSize >= cfg.N {
 			return nil, fmt.Errorf("sim: view size %d must be below N = %d", cfg.ViewSize, cfg.N)
 		}
+		e.view = mt19937.NewBound(cfg.ViewSize)
 		e.views = make([]int32, cfg.N*cfg.ViewSize)
 		seen := make(map[int32]bool, cfg.ViewSize)
 		for p := 0; p < cfg.N; p++ {
@@ -239,7 +254,7 @@ func New(cfg Config) (*Engine, error) {
 			}
 			row := e.views[p*cfg.ViewSize : (p+1)*cfg.ViewSize]
 			for i := 0; i < cfg.ViewSize; {
-				t := int32(e.rng.Intn(cfg.N))
+				t := int32(e.rng.IntnBound(&e.group))
 				if int(t) == p || seen[t] {
 					continue
 				}
@@ -321,9 +336,19 @@ func (e *Engine) ProcessesIn(s ode.Var) []int {
 }
 
 // TransitionsLastPeriod returns the per-edge transition counts of the most
-// recent period. The map is reused across periods; callers must not retain
-// it.
-func (e *Engine) TransitionsLastPeriod() map[[2]ode.Var]int { return e.transitions }
+// recent period; edges without transitions are absent. The map is rebuilt
+// from the engine's dense tally on every call and reused across calls;
+// callers must not retain it.
+func (e *Engine) TransitionsLastPeriod() map[[2]ode.Var]int {
+	clear(e.transitions)
+	n := len(e.states)
+	for i, c := range e.tally {
+		if c != 0 {
+			e.transitions[[2]ode.Var{e.states[i/n], e.states[i%n]}] = c
+		}
+	}
+	return e.transitions
+}
 
 // MessagesLastPeriod returns the number of connection attempts (sampling
 // contacts, push contacts, and token hops) of the most recent period — the
@@ -401,41 +426,37 @@ func (e *Engine) Revive(p int, s ode.Var) error {
 	return nil
 }
 
-// pickPeer draws a uniform contact target for self: from the whole group
-// under maximal membership, or from self's partial view when ViewSize is
-// configured.
-func (e *Engine) pickPeer(self int) int {
+// pickPeer draws a uniform contact target for self from rng: from the
+// whole group under maximal membership, or from self's partial view when
+// ViewSize is configured. The serial loop passes the engine's stream, a
+// shard its own.
+func (e *Engine) pickPeer(rng mt19937.Rand, self int) int {
 	if e.views != nil {
-		k := e.cfg.ViewSize
-		return int(e.views[self*k+e.rng.Intn(k)])
+		return int(e.views[self*e.cfg.ViewSize+rng.IntnBound(&e.view)])
 	}
-	t := e.rng.Intn(e.cfg.N - 1)
+	t := rng.IntnBound(&e.peer)
 	if t >= self {
 		t++
 	}
 	return t
 }
 
-// sampleTarget picks a contact target other than self. Crashed targets
-// are legitimate picks (the connection is simply fruitless, as in the
-// paper's massive-failure analysis). A message-loss coin may also void the
-// attempt. It returns the observed state index, or -1 when nothing was
-// observed.
-func (e *Engine) sampleTarget(self int) int16 {
-	e.messages++
-	t := e.pickPeer(self)
-	if e.cfg.MessageLoss > 0 && e.rng.Float64() < e.cfg.MessageLoss {
-		return -1
-	}
-	return e.snapshot[t]
+// sampleTarget picks a contact target other than self, counting the
+// attempt in *messages. Crashed targets are legitimate picks (the
+// connection is simply fruitless, as in the paper's massive-failure
+// analysis). A message-loss coin may also void the attempt. It returns the
+// observed state index, or -1 when nothing was observed.
+func (e *Engine) sampleTarget(rng mt19937.Rand, messages *int, self int) int16 {
+	_, observed := e.samplePeer(rng, messages, self)
+	return observed
 }
 
 // samplePeer is like sampleTarget but also returns the peer index (used by
 // Push, which mutates the peer).
-func (e *Engine) samplePeer(self int) (int, int16) {
-	e.messages++
-	t := e.pickPeer(self)
-	if e.cfg.MessageLoss > 0 && e.rng.Float64() < e.cfg.MessageLoss {
+func (e *Engine) samplePeer(rng mt19937.Rand, messages *int, self int) (int, int16) {
+	*messages++
+	t := e.pickPeer(rng, self)
+	if e.cfg.MessageLoss > 0 && rng.Float64() < e.cfg.MessageLoss {
 		return t, -1
 	}
 	return t, e.snapshot[t]
@@ -448,8 +469,7 @@ func (e *Engine) transition(p int, from, to int16) {
 	e.counts[from]--
 	e.counts[to]++
 	e.moved[p] = true
-	key := [2]ode.Var{e.states[from], e.states[to]}
-	e.transitions[key]++
+	e.tally[int(from)*len(e.states)+int(to)]++
 	if e.cfg.OnTransition != nil {
 		e.cfg.OnTransition(p, e.states[from], e.states[to], e.period)
 	}
@@ -459,13 +479,13 @@ func (e *Engine) transition(p int, from, to int16) {
 // process in that state transitions to `to`. All randomness is drawn from
 // rng — the serial engine passes its main stream, the sharded barrier its
 // dedicated barrier stream.
-func (e *Engine) deliverToken(rng *rand.Rand, from, to int16) {
+func (e *Engine) deliverToken(rng mt19937.Rand, from, to int16) {
 	if e.cfg.TokenTTL > 0 {
 		// Random-walk delivery: hop until a matching process is found or
 		// the TTL expires. Each hop is a connection attempt.
 		for ttl := e.cfg.TokenTTL; ttl > 0; ttl-- {
 			e.messages++
-			t := rng.Intn(e.cfg.N)
+			t := rng.IntnBound(&e.group)
 			if e.cfg.MessageLoss > 0 && rng.Float64() < e.cfg.MessageLoss {
 				continue
 			}
@@ -526,9 +546,7 @@ func (e *Engine) Step() {
 		return
 	}
 	copy(e.snapshot, e.state)
-	for k := range e.transitions {
-		delete(e.transitions, k)
-	}
+	clear(e.tally)
 	e.messages = 0
 	e.tokensLost = 0
 	for i := range e.tokenBuilt {
@@ -557,7 +575,7 @@ func (e *Engine) Step() {
 			case core.Sample:
 				ok := true
 				for _, want := range a.samples {
-					if e.sampleTarget(p) != want {
+					if e.sampleTarget(e.rng, &e.messages, p) != want {
 						ok = false
 						break
 					}
@@ -571,7 +589,7 @@ func (e *Engine) Step() {
 				// matches.
 				hit := false
 				for _, want := range a.samples {
-					if e.sampleTarget(p) == want {
+					if e.sampleTarget(e.rng, &e.messages, p) == want {
 						hit = true
 					}
 				}
@@ -580,7 +598,7 @@ func (e *Engine) Step() {
 				}
 			case core.Push:
 				for range a.samples {
-					t, observed := e.samplePeer(p)
+					t, observed := e.samplePeer(e.rng, &e.messages, p)
 					if observed == a.from && e.state[t] == a.from && !e.moved[t] && !e.frozen[t] {
 						if a.coin >= 1 || e.rng.Float64() < a.coin {
 							e.transition(t, a.from, a.to)
@@ -590,7 +608,7 @@ func (e *Engine) Step() {
 			case core.Token:
 				ok := true
 				for _, want := range a.samples {
-					if e.sampleTarget(p) != want {
+					if e.sampleTarget(e.rng, &e.messages, p) != want {
 						ok = false
 						break
 					}
@@ -611,7 +629,14 @@ func (e *Engine) Run(periods int) {
 	}
 }
 
-// Rand exposes the engine's random source for experiment drivers that need
+// Rand exposes the engine's random stream for experiment drivers that need
 // auxiliary randomness (e.g. churn schedules) reproducible from the same
-// seed.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// seed. The *rand.Rand shares the generator the engine steps with, so its
+// draws and the engine's interleave in call order on one stream, and the
+// run stays a function of the seed and the call sequence.
+func (e *Engine) Rand() *rand.Rand {
+	if e.pub == nil {
+		e.pub = rand.New(e.rng.Source())
+	}
+	return e.pub
+}

@@ -1,20 +1,18 @@
 package sim
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 
 	"odeproto/internal/core"
 	"odeproto/internal/mt19937"
-	"odeproto/internal/ode"
 )
 
 // Sharded execution (Config.Shards = K > 1).
 //
 // The N processes are partitioned into K contiguous shards. Each shard
 // owns a Mersenne Twister stream derived from (Config.Seed, shard index)
-// with the same splitmix64 finalizer the harness uses for job seeds, so
+// by mt19937.DeriveSeed, the splitmix64 finalizer job seeds use too, so
 // the K streams are decorrelated and depend only on the configuration —
 // never on scheduling. A period then runs in two phases:
 //
@@ -50,10 +48,10 @@ import (
 // shardState is one shard's private execution state and accumulators.
 type shardState struct {
 	lo, hi int // owned process range [lo, hi)
-	rng    *rand.Rand
+	rng    mt19937.Rand
 
 	countsDelta []int
-	transitions map[[2]int16]int
+	tally       []int // transitions from×to, laid out like Engine.tally
 	messages    int
 	tokensLost  int
 
@@ -80,16 +78,6 @@ type hookEvent struct {
 	from, to int16
 }
 
-// deriveSeed is the splitmix64 finalizer the harness uses for job seeds
-// (harness.DeriveSeed), duplicated here so the sim package stays free of a
-// harness dependency while shard streams follow the same derivation.
-func deriveSeed(base int64, idx int) int64 {
-	z := uint64(base) + uint64(idx+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
 // initShards builds the K shard states, their derived RNG streams, and
 // the barrier stream (derived with index K, one past the last shard).
 func (e *Engine) initShards() {
@@ -108,12 +96,12 @@ func (e *Engine) initShards() {
 		e.shards[s] = shardState{
 			lo:          lo,
 			hi:          hi,
-			rng:         rand.New(mt19937.New(deriveSeed(e.cfg.Seed, s))),
+			rng:         mt19937.NewRand(mt19937.New(mt19937.DeriveSeed(e.cfg.Seed, s))),
 			countsDelta: make([]int, len(e.states)),
-			transitions: make(map[[2]int16]int),
+			tally:       make([]int, len(e.tally)),
 		}
 	}
-	e.barrierRng = rand.New(mt19937.New(deriveSeed(e.cfg.Seed, k)))
+	e.barrierRng = mt19937.NewRand(mt19937.New(mt19937.DeriveSeed(e.cfg.Seed, k)))
 	w := e.cfg.ShardWorkers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -127,9 +115,7 @@ func (e *Engine) initShards() {
 // stepSharded executes one protocol period on the sharded path.
 func (e *Engine) stepSharded() {
 	copy(e.snapshot, e.state)
-	for k := range e.transitions {
-		delete(e.transitions, k)
-	}
+	clear(e.tally)
 	e.messages = 0
 	e.tokensLost = 0
 	for i := range e.tokenBuilt {
@@ -173,9 +159,9 @@ func (e *Engine) stepSharded() {
 			e.counts[i] += d
 			sh.countsDelta[i] = 0
 		}
-		for key, c := range sh.transitions {
-			e.transitions[[2]ode.Var{e.states[key[0]], e.states[key[1]]}] += c
-			delete(sh.transitions, key)
+		for i, c := range sh.tally {
+			e.tally[i] += c
+			sh.tally[i] = 0
 		}
 		e.messages += sh.messages
 		e.tokensLost += sh.tokensLost
@@ -234,7 +220,7 @@ func (e *Engine) runShard(sh *shardState) {
 			case core.Sample:
 				ok := true
 				for _, want := range a.samples {
-					if e.shardSampleTarget(sh, p) != want {
+					if e.sampleTarget(sh.rng, &sh.messages, p) != want {
 						ok = false
 						break
 					}
@@ -245,7 +231,7 @@ func (e *Engine) runShard(sh *shardState) {
 			case core.SampleAny:
 				hit := false
 				for _, want := range a.samples {
-					if e.shardSampleTarget(sh, p) == want {
+					if e.sampleTarget(sh.rng, &sh.messages, p) == want {
 						hit = true
 					}
 				}
@@ -254,7 +240,7 @@ func (e *Engine) runShard(sh *shardState) {
 				}
 			case core.Push:
 				for range a.samples {
-					t, observed := e.shardSamplePeer(sh, p)
+					t, observed := e.samplePeer(sh.rng, &sh.messages, p)
 					if observed != a.from || e.frozen[t] {
 						continue
 					}
@@ -280,7 +266,7 @@ func (e *Engine) runShard(sh *shardState) {
 			case core.Token:
 				ok := true
 				for _, want := range a.samples {
-					if e.shardSampleTarget(sh, p) != want {
+					if e.sampleTarget(sh.rng, &sh.messages, p) != want {
 						ok = false
 						break
 					}
@@ -300,41 +286,8 @@ func (e *Engine) shardTransition(sh *shardState, p int, from, to int16) {
 	sh.countsDelta[from]--
 	sh.countsDelta[to]++
 	e.moved[p] = true
-	sh.transitions[[2]int16{from, to}]++
+	sh.tally[int(from)*len(e.states)+int(to)]++
 	if e.cfg.OnTransition != nil {
 		sh.hooks = append(sh.hooks, hookEvent{proc: p, from: from, to: to})
 	}
-}
-
-// shardPickPeer is pickPeer on the shard's stream.
-func (e *Engine) shardPickPeer(sh *shardState, self int) int {
-	if e.views != nil {
-		k := e.cfg.ViewSize
-		return int(e.views[self*k+sh.rng.Intn(k)])
-	}
-	t := sh.rng.Intn(e.cfg.N - 1)
-	if t >= self {
-		t++
-	}
-	return t
-}
-
-// shardSampleTarget is sampleTarget on the shard's stream and counters.
-func (e *Engine) shardSampleTarget(sh *shardState, self int) int16 {
-	sh.messages++
-	t := e.shardPickPeer(sh, self)
-	if e.cfg.MessageLoss > 0 && sh.rng.Float64() < e.cfg.MessageLoss {
-		return -1
-	}
-	return e.snapshot[t]
-}
-
-// shardSamplePeer is samplePeer on the shard's stream and counters.
-func (e *Engine) shardSamplePeer(sh *shardState, self int) (int, int16) {
-	sh.messages++
-	t := e.shardPickPeer(sh, self)
-	if e.cfg.MessageLoss > 0 && sh.rng.Float64() < e.cfg.MessageLoss {
-		return t, -1
-	}
-	return t, e.snapshot[t]
 }
