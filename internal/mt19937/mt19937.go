@@ -7,10 +7,22 @@
 // the same generator family the paper used. The implementation follows the
 // reference algorithm by Matsumoto and Nishimura (2004, 64-bit variant).
 //
-// The generator satisfies math/rand's Source and Source64 interfaces, so it
-// can back a *rand.Rand:
+// Hot paths draw through Rand, which runs math/rand's algorithms (Intn,
+// Float64, Shuffle, ...) directly on the generator, and through Bound, a
+// precomputed Intn for a bound drawn many times:
 //
-//	rng := rand.New(mt19937.New(42))
+//	rng := mt19937.NewRand(mt19937.New(42))
+//	peers := mt19937.NewBound(n - 1)
+//	coin := rng.Float64()
+//	peer := rng.IntnBound(&peers)
+//
+// Both return exactly what rand.New(mt19937.New(42)) would, draw for draw.
+// The generator also satisfies math/rand's Source and Source64 interfaces,
+// so it can back a *rand.Rand, rand.New(mt19937.New(42)). That wrapper
+// stays where a draw needs what only math/rand has (the aggregate engine's
+// binomial and Poisson sampling uses NormFloat64) and off the hot paths
+// (churn traces, replica and membership simulations, and drivers that
+// share an agent engine's stream through sim.Engine.Rand).
 package mt19937
 
 const (

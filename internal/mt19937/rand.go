@@ -19,13 +19,10 @@ func NewRand(src *MT19937) Rand { return Rand{src} }
 // Source returns the generator r draws from.
 func (r Rand) Source() *MT19937 { return r.src }
 
-// Int63 returns a non-negative 63-bit integer, as math/rand's Int63.
-func (r Rand) Int63() int64 { return int64(r.src.Uint64() >> 1) }
-
-// Int31 returns a non-negative 31-bit integer, as math/rand's Int31.
-func (r Rand) Int31() int32 { return int32(r.src.Uint64() >> 33) }
-
-// uint32 is math/rand's Uint32, which Shuffle's Lemire draw consumes.
+// int63, int31 and uint32 are math/rand's Int63, Int31 and Uint32: the
+// word each bounded draw below reduces.
+func (r Rand) int63() int64   { return int64(r.src.Uint64() >> 1) }
+func (r Rand) int31() int32   { return int32(r.src.Uint64() >> 33) }
 func (r Rand) uint32() uint32 { return uint32(r.src.Uint64() >> 32) }
 
 // Int63n returns a uniform integer in [0, n), as math/rand's Int63n. It
@@ -35,12 +32,12 @@ func (r Rand) Int63n(n int64) int64 {
 		panic("mt19937: invalid argument to Int63n")
 	}
 	if n&(n-1) == 0 {
-		return r.Int63() & (n - 1)
+		return r.int63() & (n - 1)
 	}
 	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
-	v := r.Int63()
+	v := r.int63()
 	for v > max {
-		v = r.Int63()
+		v = r.int63()
 	}
 	return v % n
 }
@@ -52,12 +49,12 @@ func (r Rand) Int31n(n int32) int32 {
 		panic("mt19937: invalid argument to Int31n")
 	}
 	if n&(n-1) == 0 {
-		return r.Int31() & (n - 1)
+		return r.int31() & (n - 1)
 	}
 	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
-	v := r.Int31()
+	v := r.int31()
 	for v > max {
-		v = r.Int31()
+		v = r.int31()
 	}
 	return v % n
 }
@@ -76,11 +73,11 @@ func (r Rand) Intn(n int) int {
 }
 
 // Float64 returns a uniform float64 in [0, 1), as math/rand's Float64:
-// float64(Int63())/2⁶³, resampled in the rare case that rounds to 1. This
+// float64(int63())/2⁶³, resampled in the rare case that rounds to 1. This
 // is a different value stream from MT19937.Float64's 53-bit conversion.
 func (r Rand) Float64() float64 {
 	for {
-		if f := float64(r.Int63()) / (1 << 63); f < 1 {
+		if f := float64(r.int63()) / (1 << 63); f < 1 {
 			return f
 		}
 	}
@@ -147,10 +144,7 @@ func NewBound(n int) Bound {
 	return b
 }
 
-// N returns the bound n.
-func (b *Bound) N() int { return int(b.n) }
-
-// IntnBound returns r.Intn(b.N()) from the precomputed b.
+// IntnBound returns r.Intn(n) for the n that b was built with.
 func (r Rand) IntnBound(b *Bound) int {
 	v := r.src.Uint64() >> b.shift
 	if b.pow2 {

@@ -105,14 +105,17 @@ func TestFloat64MatchesMathRand(t *testing.T) {
 	sameState(t, ref, got)
 }
 
-func TestInt63MatchesMathRand(t *testing.T) {
+func TestWordsMatchMathRand(t *testing.T) {
 	ref, got := pair(11)
 	for i := 0; i < 10000; i++ {
-		if g, w := got.Int63(), ref.Int63(); g != w {
-			t.Fatalf("draw %d: Int63 %d, math/rand %d", i, g, w)
+		if g, w := got.int63(), ref.Int63(); g != w {
+			t.Fatalf("draw %d: int63 %d, math/rand Int63 %d", i, g, w)
 		}
-		if g, w := got.Int31(), ref.Int31(); g != w {
-			t.Fatalf("draw %d: Int31 %d, math/rand %d", i, g, w)
+		if g, w := got.int31(), ref.Int31(); g != w {
+			t.Fatalf("draw %d: int31 %d, math/rand Int31 %d", i, g, w)
+		}
+		if g, w := got.uint32(), ref.Uint32(); g != w {
+			t.Fatalf("draw %d: uint32 %d, math/rand Uint32 %d", i, g, w)
 		}
 	}
 	sameState(t, ref, got)

@@ -143,7 +143,7 @@ type compiledAction struct {
 // must sum to N.
 func New(cfg Config) (*Engine, error) {
 	if cfg.N <= 1 {
-		// N = 1 would make pickPeer's Intn(N-1) bound panic: every contact
+		// N = 1 leaves pickPeer an empty Intn(N-1) bound: every contact
 		// action needs at least one peer other than self to sample.
 		return nil, fmt.Errorf("sim: group size %d too small (peer sampling needs N >= 2)", cfg.N)
 	}
